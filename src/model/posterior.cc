@@ -21,7 +21,7 @@ namespace {
 // The sum runs through kernels::RowSum (the fixed 4-lane fold, bit-identical
 // on every ISA) and the scale through kernels::DivRow (elementwise true
 // division, exact per IEEE). Every posterior / Qw row in the tree is
-// normalised by this one helper, so the legacy deep-copy path and the
+// normalised by this one helper, so the deep-copy reference and the
 // overlay path normalise identically by construction.
 double NormalizeRowInPlace(double* w, int n) {
   const double total = kernels::RowSum(w, n);
@@ -282,7 +282,7 @@ void EstimateWorkerRowsInto(const DistributionMatrix& current,
   // WP answer distributions come from the O(l) closed-form kernel; every
   // other model shape goes through the confusion-matrix kernel against one
   // hoisted row-major copy of the matrix (AsConfusionMatrix materialises the
-  // same AnswerProbability doubles, so the products match the legacy
+  // same AnswerProbability doubles, so the products match the reference
   // model-call loop bitwise).
   const bool use_wp_kernel =
       model.kind() == WorkerModel::Kind::kWorkerProbability && num_labels > 1;

@@ -109,10 +109,11 @@ std::vector<double> EstimateWorkerRow(std::span<const double> current_row,
 /// `telemetry` (optional) counts the weighted draws taken in kSampled mode
 /// (tnames::kQwSamplesDrawn); it never affects the sampled rows.
 ///
-/// This is the legacy deep-copy representation (an O(n*l) copy per call);
-/// the serving path uses EstimateWorkerRowsInto + QwOverlay instead and
-/// keeps this entry point as the reference the equivalence suite and the
-/// bench's legacy mode compare against.
+/// The deep-copy reference (an O(n*l) copy per call, rows straight from
+/// the worker model with no likelihood table): the serving path estimates
+/// Qw through EstimateWorkerRowsInto + QwOverlay, and tests hold that path
+/// bitwise to this one (tests/model/likelihood_cache_test.cc per row,
+/// tests/integration/kernel_equivalence_test.cc per engine run).
 DistributionMatrix EstimateWorkerDistribution(
     const DistributionMatrix& current, const WorkerModel& model,
     const std::vector<QuestionIndex>& candidates, QwMode mode, util::Rng& rng,
@@ -125,7 +126,7 @@ DistributionMatrix EstimateWorkerDistribution(
 /// the answer-distribution / posterior-weight inner loops through the
 /// runtime-dispatched kernels with zero per-candidate allocations.
 /// `likelihoods` must be the transposed table for `model` (from the
-/// engine's LikelihoodCache or a strategy-local rebuild).
+/// assignment core's LikelihoodCache, or any table rebuilt from `model`).
 ///
 /// Same randomness contract as EstimateWorkerDistribution, and bit-identical
 /// overlay rows: for every candidate i, overlay->Row(i) holds exactly the
@@ -133,8 +134,8 @@ DistributionMatrix EstimateWorkerDistribution(
 /// equivalence suite pins this across every ISA. The one deliberate
 /// exception is kExpected with a WP model, where the rows come from the
 /// exact closed form (see QwMode) instead of the numerically-accumulated
-/// mixture: the closed form is the true value the legacy mixture only
-/// approaches to within rounding, so those rows agree with the legacy path
+/// mixture: the closed form is the true value the reference mixture only
+/// approaches to within rounding, so those rows agree with the reference
 /// to ~1e-12 rather than bitwise. Golden traces and the engine default run
 /// kSampled, which is bitwise-pinned.
 /// When `fuse_row_max` is set, the overlay's quality channel is armed and

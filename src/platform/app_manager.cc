@@ -7,6 +7,16 @@
 #include "util/logging.h"
 
 namespace qasca {
+namespace {
+
+/// A shard without an engine is still registering, or its journal failed
+/// to open at registration or recovery.
+util::Status NoEngine() {
+  return util::Status::FailedPrecondition(
+      "app has no engine: still initialising, or its journal failed to open");
+}
+
+}  // namespace
 
 util::StatusOr<AppId> AppManager::RegisterApp(AppOptions options) {
   if (!options.strategy_factory) {
@@ -35,7 +45,12 @@ util::StatusOr<AppId> AppManager::RegisterApp(AppOptions options) {
   }
   shard->strategy_factory = std::move(options.strategy_factory);
   shard->seed = options.seed;
-  shard->engine = BuildEngine(*shard);
+  std::unique_ptr<TaskAssignmentEngine> engine = BuildEngine(*shard);
+  // An app whose journal cannot open has no durability, so it is refused.
+  // Its id stays taken (ids are dense), and calls on it fail like calls on
+  // a still-initialising app.
+  QASCA_RETURN_IF_ERROR(engine->journal_status());
+  shard->engine = std::move(engine);
   return id;
 }
 
@@ -52,7 +67,7 @@ util::StatusOr<std::vector<QuestionIndex>> AppManager::SubmitHitRequest(
   }
   util::MutexLock lock(shard->mu);
   if (shard->engine == nullptr) {
-    return util::Status::FailedPrecondition("app is still initialising");
+    return NoEngine();
   }
   return shard->engine->RequestHit(worker);
 }
@@ -69,7 +84,7 @@ AppManager::SubmitHitRequestBatch(AppId app,
   // (TaskAssignmentEngine::ServeRequestBatch).
   util::MutexLock lock(shard->mu);
   if (shard->engine == nullptr) {
-    return util::Status::FailedPrecondition("app is still initialising");
+    return NoEngine();
   }
   return shard->engine->ServeRequestBatch(workers);
 }
@@ -82,7 +97,7 @@ util::Status AppManager::SubmitHitCompletion(
   }
   util::MutexLock lock(shard->mu);
   if (shard->engine == nullptr) {
-    return util::Status::FailedPrecondition("app is still initialising");
+    return NoEngine();
   }
   return shard->engine->CompleteHit(worker, labels);
 }
@@ -97,7 +112,7 @@ util::StatusOr<int> AppManager::AdvanceAppClock(AppId app, uint64_t ticks) {
   }
   util::MutexLock lock(shard->mu);
   if (shard->engine == nullptr) {
-    return util::Status::FailedPrecondition("app is still initialising");
+    return NoEngine();
   }
   return shard->engine->Tick(ticks);
 }
@@ -109,7 +124,7 @@ util::Status AppManager::CrashAndRecoverApp(AppId app) {
   }
   util::MutexLock lock(shard->mu);
   if (shard->engine == nullptr) {
-    return util::Status::FailedPrecondition("app is still initialising");
+    return NoEngine();
   }
   if (shard->config.persistence_path.empty()) {
     return util::Status::FailedPrecondition(
@@ -128,7 +143,11 @@ util::Status AppManager::CrashAndRecoverApp(AppId app) {
   // (and the registered config/factory/seed) is the sole survivor, and
   // replaying it through a fresh engine IS the recovery.
   shard->engine.reset();
-  shard->engine = BuildEngine(*shard);
+  std::unique_ptr<TaskAssignmentEngine> engine = BuildEngine(*shard);
+  // The journal may have become unopenable since registration; the app then
+  // stays down (no engine) while its siblings keep serving.
+  QASCA_RETURN_IF_ERROR(engine->journal_status());
+  shard->engine = std::move(engine);
   return shard->engine->Recover();
 }
 
@@ -139,7 +158,7 @@ util::StatusOr<uint64_t> AppManager::AppStateFingerprint(AppId app) const {
   }
   util::MutexLock lock(shard->mu);
   if (shard->engine == nullptr) {
-    return util::Status::FailedPrecondition("app is still initialising");
+    return NoEngine();
   }
   return shard->engine->StateFingerprint();
 }
@@ -151,7 +170,7 @@ util::StatusOr<std::string> AppManager::AppTelemetryJson(AppId app) const {
   }
   util::MutexLock lock(shard->mu);
   if (shard->engine == nullptr) {
-    return util::Status::FailedPrecondition("app is still initialising");
+    return NoEngine();
   }
   return shard->engine->telemetry().ToJson();
 }
@@ -163,7 +182,7 @@ util::StatusOr<AppManager::AppStats> AppManager::StatsFor(AppId app) const {
   }
   util::MutexLock lock(shard->mu);
   if (shard->engine == nullptr) {
-    return util::Status::FailedPrecondition("app is still initialising");
+    return NoEngine();
   }
   const TaskAssignmentEngine& engine = *shard->engine;
   AppStats stats;
@@ -192,7 +211,7 @@ util::Status AppManager::InspectApp(
   }
   util::MutexLock lock(shard->mu);
   if (shard->engine == nullptr) {
-    return util::Status::FailedPrecondition("app is still initialising");
+    return NoEngine();
   }
   fn(*shard->engine);
   return util::Status::Ok();

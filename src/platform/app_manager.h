@@ -83,7 +83,9 @@ class AppManager {
 
   /// Registers an app and starts serving it. Validates the config (before
   /// journal-path scoping) and requires a strategy factory. Returns the
-  /// app's dense id.
+  /// app's dense id, or the journal's error if the app's journal cannot
+  /// open (TaskAssignmentEngine::journal_status); that id is then never
+  /// served.
   QASCA_NODISCARD
   util::StatusOr<AppId> RegisterApp(AppOptions options);
 
@@ -122,7 +124,8 @@ class AppManager {
   /// from the registered (config, factory, seed), and replays the journal.
   /// The app's shard lock is held throughout, so concurrent submissions to
   /// the same app simply wait and then hit the recovered engine.
-  /// FailedPrecondition if the app has no journal. The fail point
+  /// FailedPrecondition if the app has no journal; the journal's error if
+  /// it cannot reopen, after which the app stays down. The fail point
   /// "app_manager.crash_recover" aborts the recovery before the engine is
   /// discarded (fault-injection suite).
   QASCA_NODISCARD

@@ -160,7 +160,6 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
     QASCA_RETURN_IF_ERROR(journal_->AppendAssign(worker, selected));
   }
   core_->CommitAssignment(worker, selected);
-  trace_.RecordAssignment(worker, selected);
   OpenHit hit;
   hit.hit_id = next_hit_id_++;
   hit.deadline = config_.lease_timeout_ticks == 0
@@ -180,7 +179,8 @@ util::StatusOr<std::vector<QuestionIndex>> TaskAssignmentEngine::RequestHit(
   if (provenance_ != nullptr) {
     // Appended after the assignment is durable, and during replay too:
     // provenance is re-derivable audit state, rebuilt by recovery exactly
-    // like the event trace, so counts stay consistent across crashes.
+    // like the lease and budget counters, so counts stay consistent across
+    // crashes.
     provenance_record.trace_id = trace_id;
     provenance_record.hit_id = hit_id;
     provenance_record.worker = worker;
@@ -265,7 +265,6 @@ util::Status TaskAssignmentEngine::CompleteHit(
   std::vector<QuestionIndex> touched = it->second.questions;
   last_completion_[worker] =
       CompletedHit{it->second.hit_id, HashLabels(labels)};
-  trace_.RecordCompletion(worker, touched, labels);
   open_hits_.erase(it);
   ++completed_hits_;
   instruments_.hits_completed->Add(1);
@@ -297,7 +296,6 @@ int TaskAssignmentEngine::Tick(uint64_t ticks) {
   for (WorkerId worker : expired) {
     const OpenHit& hit = open_hits_.at(worker);
     core_->ReleaseAssignment(worker, hit.questions);
-    trace_.RecordLeaseExpiry(worker, hit.questions);
     questions_requeued_ += static_cast<int>(hit.questions.size());
     instruments_.questions_requeued->Add(
         static_cast<int64_t>(hit.questions.size()));
@@ -323,7 +321,7 @@ util::Status TaskAssignmentEngine::Recover() {
   }
   QASCA_CHECK_EQ(assigned_hits_, 0)
       << "Recover must run on a freshly constructed engine";
-  QASCA_CHECK_EQ(trace_.size(), 0);
+  QASCA_RETURN_IF_ERROR(journal_->open_status());
   replaying_ = true;
   replay_journal_seq_ = 0;
   for (const LifecycleJournal::Event& event : journal_->events()) {
@@ -370,6 +368,10 @@ uint64_t TaskAssignmentEngine::HashLabels(
     hash = FnvMix(hash, static_cast<uint64_t>(label) + 1);
   }
   return hash;
+}
+
+util::Status TaskAssignmentEngine::journal_status() const {
+  return journal_ == nullptr ? util::Status::Ok() : journal_->open_status();
 }
 
 uint64_t TaskAssignmentEngine::StateFingerprint() const {

@@ -14,7 +14,6 @@
 #include "platform/journal.h"
 #include "platform/provenance.h"
 #include "platform/strategy.h"
-#include "platform/trace.h"
 #include "util/attributes.h"
 #include "util/flight_recorder.h"
 #include "util/status.h"
@@ -39,8 +38,8 @@ namespace qasca {
 /// pure, deterministic, golden-trace-pinned piece (D, Qc, EM, strategy,
 /// RNG). This class is the *serving shell* around it: budget and lease
 /// accounting on a virtual clock, completion idempotency, the write-ahead
-/// lifecycle journal and crash recovery, wall-clock latency / SLO tracking,
-/// the event trace and decision provenance. Decisions are a pure function
+/// lifecycle journal and crash recovery, wall-clock latency / SLO tracking
+/// and decision provenance. Decisions are a pure function
 /// of (config, seed, event history); everything the shell adds is
 /// re-derivable bookkeeping.
 ///
@@ -120,9 +119,16 @@ class TaskAssignmentEngine {
   /// Each replayed assignment re-runs the strategy and is verified against
   /// the journaled selection; a mismatch (journal from a different config
   /// or seed) fails with Internal. Must be called on a freshly constructed
-  /// engine; FailedPrecondition if persistence is off.
+  /// engine; FailedPrecondition if persistence is off, journal_status() if
+  /// the journal failed to open.
   QASCA_NODISCARD
   util::Status Recover();
+
+  /// OK unless the lifecycle journal at AppConfig::persistence_path failed
+  /// to open (LifecycleJournal::open_status). Such an engine has no
+  /// durability: AppManager refuses to register or recover an app whose
+  /// engine reports an error here.
+  QASCA_NODISCARD util::Status journal_status() const;
 
   /// Runs a full EM refit immediately, regardless of where the engine is in
   /// its em_refresh_interval cycle (the incremental-agreement invariant is
@@ -146,8 +152,6 @@ class TaskAssignmentEngine {
   /// The pure decision core this shell serves (read-only; mutations go
   /// through the engine's lifecycle API).
   const AssignmentCore& core() const { return *core_; }
-  /// Ordered log of every assignment and completion this engine served.
-  const EventTrace& trace() const { return trace_; }
   /// The engine's telemetry registry: per-stage latency spans, hot-path
   /// counters and gauges. Strategies and kernels record into it through
   /// StrategyContext / AssignmentRequest. Live when
@@ -275,7 +279,6 @@ class TaskAssignmentEngine {
   AppConfig config_;
   util::MetricRegistry telemetry_;
   Instruments instruments_;
-  EventTrace trace_;
   /// Non-null iff config_.persistence_path is non-empty.
   std::unique_ptr<LifecycleJournal> journal_;
   /// Non-null iff config_.flight_recorder_enabled; attached to telemetry_

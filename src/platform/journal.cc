@@ -103,9 +103,9 @@ LifecycleJournal::LifecycleJournal(std::string path_prefix)
   snapshot.close();
   log.close();
   // Compacting now means a surviving torn tail never receives appends. A
-  // journal that cannot even rewrite its snapshot at construction has no
-  // durability to offer, so this one is fatal.
-  QASCA_CHECK_OK(Compact());
+  // journal that cannot even rewrite its snapshot has no durability to
+  // offer; the failure is returned to the owner through open_status().
+  open_status_ = Compact();
 }
 
 void LifecycleJournal::AttachTelemetry(util::MetricRegistry* registry) {

@@ -32,7 +32,9 @@ namespace qasca {
 ///    compaction rename and the log truncation double-counts nothing.
 ///
 /// Construction loads whatever survived and immediately compacts it, so a
-/// torn tail never receives further appends.
+/// torn tail never receives further appends. A compaction that fails there
+/// (missing or unwritable directory) is recorded in open_status() rather
+/// than aborting: the owner refuses to serve on such a journal.
 ///
 /// Threading contract: engine-thread-only, like the Database — appends
 /// happen between kernel dispatches on the thread driving the engine; pool
@@ -56,8 +58,13 @@ class LifecycleJournal {
   /// Loads surviving events from "<prefix>.snapshot" / "<prefix>.log"
   /// (tolerating a torn log tail) and compacts them. Aborts on a corrupt
   /// snapshot — that file is written atomically, so damage there is not a
-  /// crash artefact.
+  /// crash artefact. A failed compaction is kept in open_status().
   explicit LifecycleJournal(std::string path_prefix);
+
+  /// The result of the compaction at construction: non-OK means the
+  /// journal could not rewrite its snapshot, so it offers no durability
+  /// and appends will fail too.
+  const util::Status& open_status() const { return open_status_; }
 
   /// Wires the journal's counters (journal.appends, journal.compactions,
   /// failpoint.triggered) into `registry`. nullptr detaches.
@@ -95,6 +102,7 @@ class LifecycleJournal {
   std::string log_path() const { return path_prefix_ + ".log"; }
 
   std::string path_prefix_;
+  util::Status open_status_;
   /// In-memory mirror of the on-disk history; source of truth for Compact.
   std::vector<Event> history_;
   uint64_t next_seq_ = 0;

@@ -8,7 +8,7 @@ namespace qasca::util {
 
 /// Appends `value` to `out` with the JSON string escapes applied (quotes,
 /// backslash, control characters as \uXXXX) — no surrounding quotes. Shared
-/// by every hand-rolled JSON emitter in the tree (EventTrace::ToJsonLines,
+/// by every hand-rolled JSON emitter in the tree (ProvenanceLog::ToJsonLines,
 /// MetricRegistry::ToJson) so escaping rules live in exactly one place.
 void AppendJsonEscaped(std::string& out, std::string_view value);
 

@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/assignment/brute_force.h"
 #include "core/metrics/accuracy.h"
+#include "support/brute_force.h"
 
 namespace qasca {
 namespace {

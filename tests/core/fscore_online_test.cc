@@ -4,8 +4,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/assignment/brute_force.h"
 #include "core/metrics/fscore.h"
+#include "support/brute_force.h"
 #include "util/rng.h"
 
 namespace qasca {

@@ -15,10 +15,10 @@
 
 #include <gtest/gtest.h>
 
-#include "core/assignment/brute_force.h"
 #include "core/assignment/topk_benefit.h"
 #include "core/metrics/accuracy.h"
 #include "core/metrics/fscore.h"
+#include "support/brute_force.h"
 #include "util/rng.h"
 
 namespace qasca {

@@ -2,8 +2,10 @@
 // byte-identical assignment decisions and reach a byte-identical final
 // state under
 //   * every kernel ISA this host supports (scalar / SSE2 / AVX2),
-//   * the likelihood cache on or off (pure memoisation),
-//   * the zero-copy Qw overlay on or off (representation change only).
+//   * the serving Qw path (QascaStrategy: zero-copy overlay, cached
+//     likelihood tables) and the test-local references below, which derive
+//     Qw by a deep copy of Qc or through a likelihood table rebuilt on every
+//     request.
 // The decision sequence and Engine::StateFingerprint() are compared EXACTLY
 // against a single reference run per scenario — this is the engine-level
 // proof behind the per-kernel bitwise tests in tests/core/kernels_test.cc,
@@ -15,12 +17,20 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/assignment/assignment.h"
+#include "core/assignment/fscore_online.h"
+#include "core/assignment/qw_overlay.h"
+#include "core/assignment/topk_benefit.h"
 #include "core/kernels/kernels.h"
+#include "model/likelihood_cache.h"
+#include "model/posterior.h"
+#include "platform/database.h"
 #include "platform/engine.h"
 #include "platform/qasca_strategy.h"
 #include "util/telemetry_names.h"
@@ -49,10 +59,72 @@ LabelIndex SimulatedAnswer(WorkerId worker, QuestionIndex question,
   return truth;
 }
 
+// How a run's strategy derives Qw for the requesting worker.
+enum class QwPath {
+  // QascaStrategy: overlay rows through the core's likelihood cache.
+  kServing,
+  // Deep copy of Qc with the candidate rows overwritten by
+  // EstimateWorkerDistribution, straight from the worker model: no
+  // overlay, no likelihood table, no cache.
+  kDeepCopy,
+  // Overlay rows through a likelihood table rebuilt on every request,
+  // ignoring the core's cache.
+  kFreshTable,
+};
+
+// The reference strategies behind kDeepCopy and kFreshTable: QASCA's
+// Section 4-5 selection (Top-K Benefit for Accuracy*, the online F-score
+// algorithm otherwise) over a Qw derived without the serving path's
+// memoisation. Any divergence from QascaStrategy is a bug in the overlay,
+// the cache or a kernel.
+class ReferenceQascaStrategy final : public AssignmentStrategy {
+ public:
+  explicit ReferenceQascaStrategy(QwPath path) : path_(path) {}
+
+  std::string name() const override { return "QASCA (reference Qw)"; }
+
+  std::vector<QuestionIndex> SelectQuestions(
+      const StrategyContext& context,
+      const std::vector<QuestionIndex>& candidates, int k) override {
+    const DistributionMatrix& qc = context.database->current();
+    AssignmentRequest request;
+    request.current = &qc;
+    request.candidates = candidates;
+    request.k = k;
+    request.compute_objective = false;
+    std::optional<DistributionMatrix> deep_copy;
+    if (path_ == QwPath::kDeepCopy) {
+      deep_copy.emplace(EstimateWorkerDistribution(
+          qc, *context.worker_model, candidates, QwMode::kSampled,
+          *context.rng));
+      request.estimated = &*deep_copy;
+    } else {
+      WorkerLikelihoods likelihoods;
+      likelihoods.Rebuild(*context.worker_model);
+      EstimateWorkerRowsInto(qc, *context.worker_model, likelihoods,
+                             candidates, QwMode::kSampled, *context.rng,
+                             &overlay_);
+      request.estimated = &qc;
+      request.overlay = &overlay_;
+    }
+    if (context.metric->kind == MetricSpec::Kind::kAccuracy) {
+      return AssignTopKBenefit(request).selected;
+    }
+    FScoreAssignmentOptions options;
+    options.alpha = context.metric->alpha;
+    options.target_label = context.metric->target_label;
+    options.warm_start = true;
+    return AssignFScoreOnline(request, options).selected;
+  }
+
+ private:
+  QwPath path_;
+  QwOverlay overlay_;
+};
+
 struct Variant {
   Isa isa = Isa::kScalar;
-  bool likelihood_cache = true;
-  bool overlay = true;
+  QwPath path = QwPath::kServing;
   bool telemetry = false;
 };
 
@@ -93,8 +165,6 @@ void RunEngine(const Scenario& s, const Variant& v, RunRecord* out) {
   config.worker_kind = s.kind;
   config.em.max_iterations = 15;
   config.em_refresh_interval = 3;
-  config.likelihood_cache_enabled = v.likelihood_cache;
-  config.use_qw_overlay = v.overlay;
   config.telemetry_enabled = v.telemetry;
 
   GroundTruthVector truth(config.num_questions);
@@ -102,8 +172,13 @@ void RunEngine(const Scenario& s, const Variant& v, RunRecord* out) {
     truth[q] = q % config.num_labels;
   }
 
-  TaskAssignmentEngine engine(config, std::make_unique<QascaStrategy>(),
-                              /*seed=*/7);
+  std::unique_ptr<AssignmentStrategy> strategy;
+  if (v.path == QwPath::kServing) {
+    strategy = std::make_unique<QascaStrategy>();
+  } else {
+    strategy = std::make_unique<ReferenceQascaStrategy>(v.path);
+  }
+  TaskAssignmentEngine engine(config, std::move(strategy), /*seed=*/7);
   RunRecord record;
   int round = 0;
   while (!engine.BudgetExhausted()) {
@@ -133,34 +208,35 @@ int64_t CounterValue(const util::TelemetrySnapshot& snapshot,
 }
 
 std::string VariantName(const Variant& v) {
+  static constexpr const char* kPathNames[] = {"/serving", "/deep-copy",
+                                               "/fresh-table"};
   return std::string(kernels::IsaName(v.isa)) +
-         (v.likelihood_cache ? "/cache" : "/nocache") +
-         (v.overlay ? "/overlay" : "/legacy");
+         kPathNames[static_cast<int>(v.path)];
 }
 
 TEST(KernelEquivalenceIntegrationTest,
      EveryIsaCacheAndOverlayVariantIsByteIdentical) {
   const Isa saved = kernels::ActiveIsa();
   for (const Scenario& s : Scenarios()) {
-    // Reference: scalar kernels, cache on, overlay on (engine defaults).
+    // Reference: scalar kernels on the deep-copy path, the representation
+    // furthest from the serving one.
     RunRecord reference;
-    RunEngine(s, Variant{Isa::kScalar, true, true}, &reference);
+    RunEngine(s, Variant{Isa::kScalar, QwPath::kDeepCopy}, &reference);
     ASSERT_FALSE(reference.selections.empty()) << s.name;
     ASSERT_NE(reference.fingerprint, 0u) << s.name;
 
     for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
       if (!kernels::IsaSupported(isa)) continue;
-      for (bool cache : {true, false}) {
-        for (bool overlay : {true, false}) {
-          const Variant v{isa, cache, overlay};
-          RunRecord record;
-          RunEngine(s, v, &record);
-          EXPECT_EQ(record.selections, reference.selections)
-              << s.name << " " << VariantName(v) << ": selections diverged";
-          EXPECT_EQ(record.fingerprint, reference.fingerprint)
-              << s.name << " " << VariantName(v) << ": state fingerprint "
-              << "diverged";
-        }
+      for (QwPath path :
+           {QwPath::kServing, QwPath::kDeepCopy, QwPath::kFreshTable}) {
+        const Variant v{isa, path};
+        RunRecord record;
+        RunEngine(s, v, &record);
+        EXPECT_EQ(record.selections, reference.selections)
+            << s.name << " " << VariantName(v) << ": selections diverged";
+        EXPECT_EQ(record.fingerprint, reference.fingerprint)
+            << s.name << " " << VariantName(v) << ": state fingerprint "
+            << "diverged";
       }
     }
   }
@@ -171,7 +247,8 @@ TEST(KernelEquivalenceIntegrationTest, CacheTelemetryShowsHitsAndInvalidation) {
   const Isa saved = kernels::ActiveIsa();
   const Scenario s = Scenarios()[0];
   RunRecord record;
-  RunEngine(s, Variant{kernels::ActiveIsa(), true, true, /*telemetry=*/true},
+  RunEngine(s, Variant{kernels::ActiveIsa(), QwPath::kServing,
+                       /*telemetry=*/true},
             &record);
   const int64_t hits =
       CounterValue(record.snapshot, util::tnames::kQwLikelihoodCacheHits);
@@ -195,7 +272,7 @@ TEST(KernelEquivalenceIntegrationTest, KernelIsaGaugeReportsActiveDispatch) {
   for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
     if (!kernels::IsaSupported(isa)) continue;
     RunRecord record;
-    RunEngine(s, Variant{isa, true, true, /*telemetry=*/true}, &record);
+    RunEngine(s, Variant{isa, QwPath::kServing, /*telemetry=*/true}, &record);
     double gauge = -1.0;
     for (const util::GaugeSnapshot& g : record.snapshot.gauges) {
       if (g.name == util::tnames::kKernelIsa) gauge = g.value;
@@ -210,16 +287,13 @@ TEST(KernelEquivalenceIntegrationTest, LegacyModeDrawsNoOverlayTelemetry) {
   const Isa saved = kernels::ActiveIsa();
   const Scenario s = Scenarios()[0];
   RunRecord record;
-  RunEngine(s, Variant{kernels::ActiveIsa(), false, /*overlay=*/false,
+  RunEngine(s, Variant{kernels::ActiveIsa(), QwPath::kDeepCopy,
                        /*telemetry=*/true},
             &record);
-  // The legacy path never touches the overlay or the cache: the counters
-  // stay at zero or were never registered at all (-1).
+  // The deep-copy reference never touches the overlay: its row counter
+  // stays at zero or was never registered at all (-1). So the equivalence
+  // above really compares two representations.
   EXPECT_LE(CounterValue(record.snapshot, util::tnames::kQwOverlayRows), 0);
-  EXPECT_LE(CounterValue(record.snapshot,
-                         util::tnames::kQwLikelihoodCacheHits), 0);
-  EXPECT_LE(CounterValue(record.snapshot,
-                         util::tnames::kQwLikelihoodCacheMisses), 0);
   kernels::SetIsaForTesting(saved);
 }
 

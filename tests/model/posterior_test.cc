@@ -173,6 +173,57 @@ TEST(PosteriorTest, WpFastPathMatchesExpandedCm) {
   }
 }
 
+// The assignment core's incremental refresh reads worker likelihoods
+// through tables (ComputePosteriorRowWithLikelihoods). The tables hold the
+// models' own AnswerProbability doubles, so every row must equal the
+// model-lookup posterior bit for bit, for WP and CM workers alike.
+TEST(PosteriorTest, LikelihoodTableRowBitwiseMatchesModelLookup) {
+  util::Rng rng(31);
+  for (int num_labels : {2, 3, 5}) {
+    std::unordered_map<WorkerId, WorkerModel> models;
+    std::unordered_map<WorkerId, WorkerLikelihoods> tables;
+    for (WorkerId w = 0; w < 6; ++w) {
+      if (w % 2 == 0) {
+        models.emplace(w, WorkerModel::Wp(rng.Uniform(0.4, 0.95), num_labels));
+      } else {
+        std::vector<double> cm(static_cast<size_t>(num_labels) * num_labels);
+        for (int t = 0; t < num_labels; ++t) {
+          double total = 0.0;
+          for (int a = 0; a < num_labels; ++a) {
+            total += cm[t * num_labels + a] = rng.Uniform(0.05, 1.0);
+          }
+          for (int a = 0; a < num_labels; ++a) cm[t * num_labels + a] /= total;
+        }
+        models.emplace(w, WorkerModel::Cm(std::move(cm), num_labels));
+      }
+      tables[w].Rebuild(models.at(w));
+    }
+    const LikelihoodLookup table_lookup =
+        [&tables](WorkerId w) -> const WorkerLikelihoods& {
+      return tables.at(w);
+    };
+    const std::vector<double> prior = UniformPrior(num_labels);
+    for (int trial = 0; trial < 20; ++trial) {
+      AnswerList answers;
+      for (int a = 0; a < 1 + trial % 6; ++a) {
+        answers.push_back({static_cast<WorkerId>(rng.UniformInt(6)),
+                           static_cast<LabelIndex>(
+                               rng.UniformInt(num_labels))});
+      }
+      std::vector<double> via_models;
+      std::vector<double> via_tables;
+      double marginal_models = 0.0;
+      double marginal_tables = 0.0;
+      ComputePosteriorRowInto(answers, prior, MakeLookup(models), &via_models,
+                              &marginal_models);
+      ComputePosteriorRowWithLikelihoods(answers, prior, table_lookup,
+                                         &via_tables, &marginal_tables);
+      EXPECT_EQ(via_tables, via_models) << "l=" << num_labels;
+      EXPECT_EQ(marginal_tables, marginal_models) << "l=" << num_labels;
+    }
+  }
+}
+
 TEST(PosteriorTest, EstimateWorkerDistributionOnlyTouchesCandidates) {
   util::Rng rng(10);
   DistributionMatrix qc(4, 2);

@@ -18,7 +18,8 @@
 //    (regression for the double-refund hazard the shard lock closes).
 
 #include <cstdint>
-#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "platform/app_manager.h"
 #include "platform/qasca_strategy.h"
 #include "simulation/serving_driver.h"
+#include "support/test_dir.h"
 #include "util/failpoint.h"
 #include "util/status.h"
 
@@ -52,20 +54,6 @@ AppManager::AppOptions SmallApp(const std::string& name, uint64_t seed) {
   options.strategy_factory = [] { return std::make_unique<QascaStrategy>(); };
   options.seed = seed;
   return options;
-}
-
-// Removes any stale per-app journal files under TempDir so each manager
-// build starts from a clean slate. Must run BEFORE the apps are registered
-// (registration attaches each engine to its journal path).
-std::string FreshServingDir(int apps) {
-  const std::string dir = ::testing::TempDir();
-  for (int app = 0; app < apps; ++app) {
-    const std::string prefix =
-        dir + "/journal.app" + std::to_string(app);
-    std::remove((prefix + ".snapshot").c_str());
-    std::remove((prefix + ".log").c_str());
-  }
-  return dir;
 }
 
 TEST(AppManagerTest, RegisterAppValidatesInputs) {
@@ -247,7 +235,10 @@ TEST_P(ServingConformanceTest, CrashRecoveryKeepsBitIdentityUnderRace) {
   options.em_refresh_interval = 3;
   options.crash_every = 30;
   options.provenance = true;
-  options.persistence_dir = FreshServingDir(options.apps);
+  // A directory of this test (and seed) alone, so parallel ctest processes
+  // never share journal files. Wiped again before every manager build:
+  // registration attaches each engine to its journal path.
+  options.persistence_dir = FreshTestDir();
 
   const ServingSchedule schedule = ServingSchedule::Generate(options, seed);
 
@@ -259,7 +250,7 @@ TEST_P(ServingConformanceTest, CrashRecoveryKeepsBitIdentityUnderRace) {
 
   for (int threads : {2, 4}) {
     AppManager manager;
-    FreshServingDir(options.apps);
+    FreshTestDir();
     ASSERT_TRUE(BuildServingApps(manager, options, seed).ok());
     const ServingRunResult concurrent =
         RunServingSchedule(manager, schedule, options, threads);
@@ -319,7 +310,7 @@ TEST(AppManagerTest, CrashRecoverRequiresAJournal) {
 TEST(AppManagerTest, CrashRecoverFailPointRefusesWithoutDataLoss) {
   AppManager manager;
   AppManager::AppOptions options = SmallApp("faulty", 8);
-  options.config.persistence_path = FreshServingDir(1) + "/journal";
+  options.config.persistence_path = FreshTestDir() + "/journal";
   ASSERT_TRUE(manager.RegisterApp(std::move(options)).ok());
   ASSERT_TRUE(manager.SubmitHitRequest(0, 0).ok());
   const uint64_t before = *manager.AppStateFingerprint(0);
@@ -333,6 +324,51 @@ TEST(AppManagerTest, CrashRecoverFailPointRefusesWithoutDataLoss) {
   util::Status recovered = manager.CrashAndRecoverApp(0);
   ASSERT_TRUE(recovered.ok()) << recovered.ToString();
   EXPECT_EQ(*manager.AppStateFingerprint(0), before);
+}
+
+// A journal that cannot open is returned by RegisterApp instead of
+// aborting the process. Its directory is a regular file: unlike a
+// permission bit, that also stops a process running as root.
+TEST(AppManagerTest, UnopenableJournalFailsRegistrationNotTheProcess) {
+  const std::string not_a_dir = FreshTestDir() + "/file";
+  std::ofstream(not_a_dir) << "not a directory\n";
+
+  AppManager manager;
+  util::StatusOr<AppId> sibling = manager.RegisterApp(SmallApp("sibling", 5));
+  ASSERT_TRUE(sibling.ok());
+  AppManager::AppOptions broken = SmallApp("broken", 6);
+  broken.config.persistence_path = not_a_dir + "/journal";
+  EXPECT_EQ(manager.RegisterApp(std::move(broken)).status().code(),
+            util::StatusCode::kInternal);
+
+  // The refused app's id is never served; its sibling serves on.
+  EXPECT_EQ(manager.SubmitHitRequest(1, 0).status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(manager.SubmitHitRequest(*sibling, 0).ok());
+}
+
+// The same failure at recovery: the journal directory turns into a regular
+// file after registration. The crashed app stays down with the journal's
+// error; its sibling keeps serving.
+TEST(AppManagerTest, UnopenableJournalFailsRecoveryNotTheProcess) {
+  const std::string dir = FreshTestDir() + "/journals";
+  std::filesystem::create_directories(dir);
+
+  AppManager manager;
+  util::StatusOr<AppId> sibling = manager.RegisterApp(SmallApp("sibling", 5));
+  AppManager::AppOptions journaled = SmallApp("journaled", 6);
+  journaled.config.persistence_path = dir + "/journal";
+  util::StatusOr<AppId> app = manager.RegisterApp(std::move(journaled));
+  ASSERT_TRUE(sibling.ok() && app.ok());
+  ASSERT_TRUE(manager.SubmitHitRequest(*app, 0).ok());
+
+  std::filesystem::remove_all(dir);
+  std::ofstream(dir) << "not a directory\n";
+  EXPECT_EQ(manager.CrashAndRecoverApp(*app).code(),
+            util::StatusCode::kInternal);
+  EXPECT_EQ(manager.SubmitHitRequest(*app, 1).status().code(),
+            util::StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(manager.SubmitHitRequest(*sibling, 0).ok());
 }
 
 // Regression (ISSUE 10 fix): a lease expiry refunds the HIT's budget; the

@@ -2,11 +2,14 @@
 
 #include <memory>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/random_strategy.h"
+#include "platform/journal.h"
 #include "platform/qasca_strategy.h"
+#include "support/test_dir.h"
 
 namespace qasca {
 namespace {
@@ -220,6 +223,32 @@ TEST(EngineDeathTest, InvalidConfigAborts) {
   EXPECT_DEATH(TaskAssignmentEngine(config, std::make_unique<QascaStrategy>(),
                                     1),
                "Check failed");
+}
+
+// The lifecycle journal is the engine's ordered record of what it served:
+// a reopened journal holds each workflow with its worker, HIT and labels.
+TEST(EngineTest, JournalRecordsItsWorkflows) {
+  AppConfig config = SmallConfig();
+  config.persistence_path = FreshTestDir() + "/journal";
+  std::vector<QuestionIndex> hit;
+  {
+    auto engine = MakeEngine(config);
+    auto requested = engine->RequestHit(5);
+    ASSERT_TRUE(requested.ok());
+    hit = *requested;
+    ASSERT_TRUE(engine->CompleteHit(5, {0, 1, 0}).ok());
+    EXPECT_EQ(engine->assigned_hits(), 1);
+    EXPECT_EQ(engine->completed_hits(), 1);
+  }
+  LifecycleJournal journal(config.persistence_path);
+  ASSERT_TRUE(journal.open_status().ok());
+  ASSERT_EQ(journal.events().size(), 2u);
+  EXPECT_EQ(journal.events()[0].kind, LifecycleJournal::Event::Kind::kAssign);
+  EXPECT_EQ(journal.events()[0].worker, 5);
+  EXPECT_EQ(journal.events()[0].questions, hit);
+  EXPECT_EQ(journal.events()[1].kind,
+            LifecycleJournal::Event::Kind::kComplete);
+  EXPECT_EQ(journal.events()[1].labels, (std::vector<LabelIndex>{0, 1, 0}));
 }
 
 }  // namespace

@@ -103,18 +103,7 @@ kernels = report.get("kernels")
 if kernels:
     print(f"  kernels: isa={kernels['isa']} "
           f"cache_hit_rate={kernels['cache_hit_rate']:.2f} "
-          f"overlay_rows={kernels['overlay_rows']} "
           f"closed_form_rows={kernels['closed_form_rows']}")
-for ko in report.get("kernel_optimization", []):
-    print(f"  kernel path n={ko['n']}: p50 assignment "
-          f"{ko['legacy_p50_assignment_seconds']*1e3:.2f}ms legacy -> "
-          f"{ko['optimized_p50_assignment_seconds']*1e3:.2f}ms optimized "
-          f"({ko['p50_speedup']:.2f}x), qw_estimate "
-          f"{ko['legacy_qw_estimate_ms']:.0f}ms -> "
-          f"{ko['optimized_qw_estimate_ms']:.0f}ms, topk_scan "
-          f"{ko['legacy_topk_scan_ms']:.0f}ms -> "
-          f"{ko['optimized_topk_scan_ms']:.0f}ms, identical decisions: "
-          f"{ko['identical_decisions']}")
 EOF
 
 echo "wrote ${OUT}"

@@ -57,7 +57,9 @@
 #      bit-identical per-app decision hashes and fingerprints, batching
 #      equivalence, cross-app isolation, mid-storm crash recovery) —
 #      under BOTH sanitizer builds: TSan for the data races the turnstile
-#      harness provokes, asan-ubsan for the DCHECK'd engine invariants
+#      harness provokes, asan-ubsan for the DCHECK'd engine invariants;
+#      then the TSan slice again at -j$(nproc), three times, so tests that
+#      share on-disk state across ctest processes fail here
 #  12. observability smoke (ISSUE 8): qasca_sim --trace-out /
 #      --provenance-out on the release build, then structural validation of
 #      the Chrome trace JSON (sorted ts, balanced B/E per tid, nested
@@ -250,6 +252,10 @@ stage_begin "serving conformance suite (multi-app AppManager, TSan + asan-ubsan)
 # stage 3's lock-order freshness gate.)
 run ctest --preset tsan-serving -j "${JOBS}"
 run ctest --preset asan-ubsan-serving -j "${JOBS}"
+# Parallel-ctest regression: every gtest case is its own ctest process, so
+# tests that shared a journal path used to overwrite each other's files
+# under -j. Three repeats at full width must stay green.
+run ctest --test-dir build-tsan -L serving -j "$(nproc)" --repeat until-fail:3
 stage_pass
 
 stage_begin "observability smoke (trace export, provenance JSONL, bench diff)"
